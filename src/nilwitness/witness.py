@@ -7,11 +7,12 @@ positions, and build the shift map
 
     z_1 -> z_2 -> ... -> z_{n-l} -> k_1 -> 0,      k_j -> 0 for all j.
 
-The resulting matrix N is nilpotent of index exactly n - l + 1 and shares
-its null space with M, hence (null space determines the reduced form) N and
-M have the same RREF and are row equivalent. The certificate bundles N, its
-index, the shared kernel, the common RREF, and an explicit elementary-row
-script taking M to N, and every claim is re-checked by direct computation.
+On this basis the map needs no inverse: N = C @ R, with R = rref(M) and
+C = [z_2 ... z_{n-l}, k_1, 0 ... 0]. N is nilpotent of index n - l + 1 and
+shares its null space with M, hence (null space determines the reduced
+form) N and M have the same RREF and are row equivalent. The certificate
+bundles N, its index, the shared kernel, the common RREF, and an explicit
+elementary-row script taking M to N; every claim is re-checked directly.
 
 The module also carries the classical 3x3 catalog of reduced forms and the
 hand-derived nilpotent mates of its rank-1 and rank-2 representatives,
@@ -38,7 +39,7 @@ from .fields import Q, Field, Scalar
 from .kernel import (
     ExtensionBasis,
     KernelBasis,
-    extend_to_basis,
+    extend_to_basis,  # not called here; the benchmark tracer wraps it as this module's attribute
     special_solutions,
 )
 from .matrix import AddMul, Matrix, RowScript, Scale, Swap, is_rref
@@ -59,18 +60,22 @@ class WitnessCertificate:
     def verify(self) -> None:
         """Re-check every certificate invariant; raise VerificationError on failure.
 
-        Checks: N^index = 0 with N^(index-1) != 0, index = n - nullity + 1,
-        rref(source) = rref(N) = rref_common, the script replays source to N,
-        and both matrices annihilate the shared kernel basis.
+        Checks: 1 <= index <= n, index = n - nullity + 1, N^index = 0 with
+        N^(index-1) != 0, rref(source) = rref(N) = rref_common, the script
+        replays source to N, and the kernel holds exactly one special solution
+        per free column of rref_common, each annihilated by both matrices.
         """
         n = self.source.nrows
+        if not 1 <= self.index <= n:
+            raise VerificationError(f"index {self.index} outside 1..{n}")
         if self.index != n - self.nullity + 1:
             raise VerificationError(
                 f"index {self.index} != n - nullity + 1 = {n - self.nullity + 1}"
             )
-        if not (self.nilpotent ** self.index).is_zero():
+        prev_power = self.nilpotent ** (self.index - 1)
+        if not (prev_power @ self.nilpotent).is_zero():
             raise VerificationError(f"N^{self.index} is not zero")
-        if self.index > 1 and (self.nilpotent ** (self.index - 1)).is_zero():
+        if prev_power.is_zero():
             raise VerificationError(f"N^{self.index - 1} already vanishes")
         if self.source.rref().rref != self.rref_common:
             raise VerificationError("input RREF differs from the recorded common RREF")
@@ -78,9 +83,22 @@ class WitnessCertificate:
             raise VerificationError("nilpotent RREF differs from the recorded common RREF")
         if self.source.apply(self.script_m_to_n) != self.nilpotent:
             raise VerificationError("script does not replay the input to the nilpotent matrix")
-        for v in self.kernel.vectors:
+        # rref_common is a checked RREF by now, so its leading entries mark the pivots
+        rows = [row for row in self.rref_common.rows if any(row)]
+        leads = {next(j for j, e in enumerate(row) if e) for row in rows}
+        free = [j for j in range(n) if j not in leads]
+        vectors = self.kernel.vectors
+        if len(vectors) != self.nullity or len(free) != self.nullity:
+            raise VerificationError(
+                f"{len(vectors)} kernel vectors and {len(free)} free columns "
+                f"for nullity {self.nullity}"
+            )
+        units = Matrix.identity(self.source.field, self.nullity).rows
+        for v, unit in zip(vectors, units):
             if not (self.source @ v).is_zero() or not (self.nilpotent @ v).is_zero():
                 raise VerificationError("kernel basis vector not annihilated by both matrices")
+            if tuple(v.entries[f] for f in free) != unit:
+                raise VerificationError("kernel vector is not the special solution of its column")
 
     def to_report(self) -> str:
         """Labeled text report; matrices and script use the standard file formats."""
@@ -111,7 +129,8 @@ def build_shift_nilpotent(basis: ExtensionBasis) -> Matrix:
     With basis columns B = [z_1 ... z_{n-l}, k_1 ... k_l], the image columns
     are C = [z_2 ... z_{n-l}, k_1, 0 ... 0] and the map is N = C B^-1. The
     prescribed images (N z_i = z_{i+1}, N z_{n-l} = k_1, N k_j = 0) are
-    re-verified by direct multiplication before returning.
+    re-verified by direct multiplication before returning. This general form
+    takes any ExtensionBasis; witness() uses the pivot basis, where N = C @ R.
     """
     z = basis.z_vectors
     ks = basis.kernel.vectors
@@ -158,9 +177,9 @@ def nilpotent_index(matrix: Matrix) -> int | None:
 def witness(matrix: Matrix) -> WitnessCertificate:
     """Certificate for: this singular matrix is row equivalent to a nilpotent one.
 
-    The nullity-n case (the zero matrix) short-circuits to N = 0 with index 1;
-    otherwise N is the shift matrix on the extended kernel basis, nilpotent of
-    index n - l + 1. All certificate invariants are verified before returning.
+    N = C @ R is the shift matrix on the pivot-extended kernel basis, read off
+    the one reduction R of M; nilpotent of index n - l + 1 (rank 0 gives C = 0,
+    N = 0, index 1). All certificate invariants are verified before returning.
     """
     if not matrix.is_square:
         raise NotSquare(f"witness of a {matrix.nrows}x{matrix.ncols} matrix")
@@ -172,21 +191,20 @@ def witness(matrix: Matrix) -> WitnessCertificate:
             "to a nilpotent matrix"
         )
     kern = special_solutions(reduced)
-    nullity = kern.nullity
-    if nullity == n:
-        nilpotent = Matrix.zeros(matrix.field, n, n)
-        index = 1
-    else:
-        nilpotent = build_shift_nilpotent(extend_to_basis(kern))
-        index = n - nullity + 1
+    # C B^-1 = C @ R: rows 1..r of B^-1 are R's nonzero rows; C is 0 past column r
+    units = Matrix.identity(matrix.field, n).rows
+    heads = [units[p - 1] for p in reduced.pivot_cols[1:]] + [kern.vectors[0].entries]
+    zero_col = (matrix.field.zero(),) * n
+    images = Matrix.from_columns(matrix.field, heads[: reduced.rank] + [zero_col] * kern.nullity)
+    nilpotent = images @ reduced.rref
     certificate = WitnessCertificate(
         source=matrix,
         nilpotent=nilpotent,
-        index=index,
-        nullity=nullity,
+        index=n - kern.nullity + 1,
+        nullity=kern.nullity,
         kernel=kern,
         rref_common=reduced.rref,
-        script_m_to_n=witness_script(matrix, nilpotent),
+        script_m_to_n=reduced.script + nilpotent.rref().script.inverse(),
     )
     certificate.verify()
     return certificate

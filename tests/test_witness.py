@@ -162,6 +162,27 @@ class TestWitness:
                 assert cert.nilpotent.trace().is_zero()
                 assert same_null_space(m, cert.nilpotent)
                 assert row_equivalent(m, cert.nilpotent)
+                if cert.nullity < n_dim:
+                    # the general inverse-based build is the reference for N = C @ R
+                    assert cert.nilpotent == build_shift_nilpotent(extend_to_basis(cert.kernel))
+
+    def test_never_inverts(self, rng, monkeypatch):
+        inputs = [Matrix.zeros(field, 3, 3) for field in (Q, GF2, GF5)] + [
+            random_singular(rng, field, rng.randint(1, 5))
+            for field in (Q, GF2, GF5)
+            for _ in range(20)
+        ]
+        calls = []
+        plain = Matrix.inverse
+
+        def counting_inverse(self):
+            calls.append(self)
+            return plain(self)
+
+        monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+        for m in inputs:
+            witness(m)
+        assert calls == []
 
     def test_exhaustive_gf2_2x2(self):
         singular = 0
@@ -183,6 +204,15 @@ class TestWitness:
         wrong_matrix = dataclasses.replace(cert, nilpotent=Matrix.zeros(Q, 3, 3))
         with pytest.raises(VerificationError):
             wrong_matrix.verify()
+        # consistent with n - nullity + 1, but outside 1..n
+        out_of_range = dataclasses.replace(cert, nullity=T23.nrows + 2, index=-1)
+        with pytest.raises(VerificationError):
+            out_of_range.verify()
+        vectors = cert.kernel.vectors
+        for broken in ((), vectors + vectors, (column(Q, [0, 0, 0]),)):
+            bad_kernel = dataclasses.replace(cert.kernel, vectors=broken)
+            with pytest.raises(VerificationError):
+                dataclasses.replace(cert, kernel=bad_kernel).verify()
 
     def test_report_sections_in_order(self):
         report = witness(T23).to_report()
