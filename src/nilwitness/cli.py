@@ -29,10 +29,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
+    """A file's or standard input's bytes as strict UTF-8; bad bytes are a ParseError."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    if isinstance(data, str):  # a text stream standing in for stdin
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        source = "standard input" if path == "-" else path
+        raise ParseError(f"{source}: not valid UTF-8 at byte {exc.start}") from exc
 
 
 def _read_matrix(path: str) -> Matrix:

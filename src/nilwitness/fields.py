@@ -16,15 +16,33 @@ from .errors import DivisionByZero, FieldMismatch, ParseError
 _TOKEN = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
 
 
+# The first 13 primes. Every composite below MODULUS_LIMIT fails the strong
+# probable-prime test to at least one of them; MODULUS_LIMIT itself is the
+# least composite that passes to all 13 (Sorenson & Webster 2015).
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    # trial division; moduli are desk-scale
+    """Deterministic Miller-Rabin over _WITNESS_BASES; exact for n < MODULUS_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _WITNESS_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESS_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -93,9 +111,15 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    """Integers mod p for prime p; residues kept in [0, p)."""
+    """Integers mod p for prime p; residues kept in [0, p).
+
+    Primality is decided exactly, so the modulus must lie below
+    MODULUS_LIMIT (about 3.3e24); a larger one raises ValueError.
+    """
 
     def __init__(self, modulus: int):
+        if isinstance(modulus, int) and modulus >= MODULUS_LIMIT:
+            raise ValueError(f"modulus {modulus} is not below the limit {MODULUS_LIMIT}")
         if not isinstance(modulus, int) or not _is_prime(modulus):
             raise ValueError(f"modulus must be prime, got {modulus!r}")
         self.modulus = modulus

@@ -21,6 +21,11 @@ from .fields import GF, Q, Field
 from .matrix import AddMul, Matrix, RowScript, Scale, Swap
 
 
+def _is_decimal(token: str) -> bool:
+    """ASCII digits only: str.isdigit also accepts '²' and other scripts' digits."""
+    return token.isascii() and token.isdigit()
+
+
 def _significant_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -33,7 +38,7 @@ def _parse_field(line: str, lineno: int) -> Field:
     parts = line.split()
     if parts == ["Q"]:
         return Q
-    if len(parts) == 2 and parts[0] == "GF":
+    if len(parts) == 2 and parts[0] == "GF" and _is_decimal(parts[1]):
         try:
             return GF(int(parts[1]))
         except ValueError as exc:
@@ -51,7 +56,7 @@ def _parse_block(items: list[tuple[int, str]], pos: int) -> tuple[Matrix, int]:
         raise ParseError(f"line {lineno}: missing dimension line after field header")
     lineno, dims = items[pos]
     parts = dims.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(_is_decimal(p) for p in parts):
         raise ParseError(f"line {lineno}: expected 'm n', got {dims!r}")
     m, n = int(parts[0]), int(parts[1])
     if m < 1 or n < 1:
@@ -101,7 +106,7 @@ def matrix_to_text(matrix: Matrix) -> str:
 
 
 def _parse_index(token: str, lineno: int) -> int:
-    if not token.isdigit() or int(token) < 1:
+    if not _is_decimal(token) or int(token) < 1:
         raise ParseError(f"line {lineno}: row index must be a positive integer, got {token!r}")
     return int(token)
 

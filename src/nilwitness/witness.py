@@ -28,6 +28,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     InvalidParams,
+    LinalgError,
     NonSingular,
     NotRowEquivalent,
     NotSquare,
@@ -58,47 +59,83 @@ class WitnessCertificate:
     script_m_to_n: RowScript
 
     def verify(self) -> None:
-        """Re-check every certificate invariant; raise VerificationError on failure.
+        """Re-check every certificate claim; raise VerificationError on failure.
 
-        Checks: 1 <= index <= n, index = n - nullity + 1, N^index = 0 with
-        N^(index-1) != 0, rref(source) = rref(N) = rref_common, the script
-        replays source to N, and the kernel holds exactly one special solution
-        per free column of rref_common, each annihilated by both matrices.
+        No reduction, power or inverse is taken: the shift structure is read
+        off the certificate. With R = rref_common, its pivots p_1..p_r and
+        free columns f_1..f_l (read off R's nonzero rows) and K = k_1..k_l
+        the kernel vectors, the checks are:
+
+        - 1 <= index <= n and index = n - nullity + 1;
+        - nilpotent and rref_common are n x n over the source's field, and
+          every kernel vector is n x 1;
+        - R is in RREF with exactly r = n - nullity nonzero rows;
+        - K holds exactly l vectors and k_j is the special solution of f_j
+          over the source's field: 1 at f_j, 0 at the other free columns,
+          -R[i][f_j] at p_i;
+        - N e_{p_i} = e_{p_{i+1}} for i < r, N e_{p_r} = k_1, and N K = 0;
+        - replaying the script on the source gives N.
+
+        The basis {e_{p_i}} with K is unit triangular after a permutation, so
+        the images make N similar to one Jordan block J_{r+1} beside an
+        (l - 1)-square zero block: nilpotent of index exactly r + 1, rank r,
+        null space span K = null R, hence rref(N) = R. Every script op is
+        invertible, so the replay makes the source row equivalent to N and
+        rref(source) = R as well. Cost: O(n(r + l) + n^2 l) entry reads plus
+        one script replay. Only the pivot-shift form that witness() emits is
+        accepted; any other nilpotent mate is rejected, even one that is row
+        equivalent to the source.
         """
         n = self.source.nrows
+        field = self.source.field
         if not 1 <= self.index <= n:
             raise VerificationError(f"index {self.index} outside 1..{n}")
         if self.index != n - self.nullity + 1:
             raise VerificationError(
                 f"index {self.index} != n - nullity + 1 = {n - self.nullity + 1}"
             )
-        prev_power = self.nilpotent ** (self.index - 1)
-        if not (prev_power @ self.nilpotent).is_zero():
-            raise VerificationError(f"N^{self.index} is not zero")
-        if prev_power.is_zero():
-            raise VerificationError(f"N^{self.index - 1} already vanishes")
-        if self.source.rref().rref != self.rref_common:
-            raise VerificationError("input RREF differs from the recorded common RREF")
-        if self.nilpotent.rref().rref != self.rref_common:
-            raise VerificationError("nilpotent RREF differs from the recorded common RREF")
-        if self.source.apply(self.script_m_to_n) != self.nilpotent:
-            raise VerificationError("script does not replay the input to the nilpotent matrix")
-        # rref_common is a checked RREF by now, so its leading entries mark the pivots
-        rows = [row for row in self.rref_common.rows if any(row)]
-        leads = {next(j for j, e in enumerate(row) if e) for row in rows}
-        free = [j for j in range(n) if j not in leads]
+        for name, m in (("nilpotent", self.nilpotent), ("recorded RREF", self.rref_common)):
+            if m.field != field or (m.nrows, m.ncols) != (n, n):
+                raise VerificationError(f"{name} is {m.nrows}x{m.ncols} over {m.field}")
         vectors = self.kernel.vectors
-        if len(vectors) != self.nullity or len(free) != self.nullity:
+        if len(vectors) != self.nullity:
+            raise VerificationError(f"{len(vectors)} kernel vectors for nullity {self.nullity}")
+        for v in vectors:
+            if (v.nrows, v.ncols) != (n, 1):
+                raise VerificationError(f"kernel vector is {v.nrows}x{v.ncols}, not {n}x1")
+        if not is_rref(self.rref_common):
+            raise VerificationError("recorded RREF is not in reduced row echelon form")
+        rows = [row for row in self.rref_common.rows if any(row)]
+        if len(rows) != n - self.nullity:
             raise VerificationError(
-                f"{len(vectors)} kernel vectors and {len(free)} free columns "
-                f"for nullity {self.nullity}"
+                f"recorded RREF has rank {len(rows)}, not n - nullity = {n - self.nullity}"
             )
-        units = Matrix.identity(self.source.field, self.nullity).rows
-        for v, unit in zip(vectors, units):
-            if not (self.source @ v).is_zero() or not (self.nilpotent @ v).is_zero():
-                raise VerificationError("kernel basis vector not annihilated by both matrices")
-            if tuple(v.entries[f] for f in free) != unit:
+        pivots = [next(j for j, e in enumerate(row) if e) for row in rows]
+        free = [j for j in range(n) if j not in pivots]
+        one, zero = field.one(), field.zero()
+        for f, v in zip(free, vectors):
+            special = [zero] * n
+            special[f] = one
+            for p, row in zip(pivots, rows):
+                special[p] = -row[f]
+            if v.entries != tuple(special):
                 raise VerificationError("kernel vector is not the special solution of its column")
+        # the chain e_{p_1} -> ... -> e_{p_r} -> k_1, read as columns of N
+        chain = [tuple(one if i == p else zero for i in range(n)) for p in pivots[1:]]
+        chain.append(vectors[0].entries)
+        for p, image in zip(pivots, chain):
+            if tuple(row[p] for row in self.nilpotent.rows) != image:
+                raise VerificationError("nilpotent does not shift the pivot columns in a chain")
+        for v in vectors:
+            support = [(c, e) for c, e in enumerate(v.entries) if e]
+            if any(sum((row[c] * e for c, e in support), zero) for row in self.nilpotent.rows):
+                raise VerificationError("kernel vector not annihilated by the nilpotent matrix")
+        try:
+            replayed = self.source.apply(self.script_m_to_n)
+        except LinalgError as exc:
+            raise VerificationError(f"script does not replay on the input: {exc}") from exc
+        if replayed != self.nilpotent:
+            raise VerificationError("script does not replay the input to the nilpotent matrix")
 
     def to_report(self) -> str:
         """Labeled text report; matrices and script use the standard file formats."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from nilwitness import GF, Q, AddMul, Matrix, RowScript, Scale, Swap
+from nilwitness import GF, Q, AddMul, Matrix, RowScript, Scale, Swap, VerificationError
 
 GF2 = GF(2)
 GF3 = GF(3)
@@ -72,6 +72,13 @@ def random_singular(rng, field, n) -> Matrix:
     return random_invertible(rng, field, n) @ middle @ random_invertible(rng, field, n)
 
 
+def random_of_rank(rng, field, n, rank) -> Matrix:
+    """Exactly rank `rank`: invertible @ diag(1 .. 1, 0 .. 0) @ invertible."""
+    one, zero = field.one(), field.zero()
+    middle = Matrix(field, [[one if i == j < rank else zero for j in range(n)] for i in range(n)])
+    return random_invertible(rng, field, n) @ middle @ random_invertible(rng, field, n)
+
+
 def random_strictly_triangular(rng, field, n, upper=True) -> Matrix:
     rows = []
     for i in range(n):
@@ -127,3 +134,46 @@ def hand_apply(rows, ops):
             _, i, c, j = op
             rows[i - 1] = [e + Fraction(c) * f for e, f in zip(rows[i - 1], rows[j - 1])]
     return rows
+
+
+def reference_verify(cert) -> None:
+    """The reduce-and-power certificate check, kept as a differential oracle.
+
+    Re-reduces both matrices and powers N; accepts any nilpotent mate of the
+    right index, where WitnessCertificate.verify() accepts only the pivot-shift
+    form that witness() emits.
+    """
+    n = cert.source.nrows
+    if not 1 <= cert.index <= n:
+        raise VerificationError(f"index {cert.index} outside 1..{n}")
+    if cert.index != n - cert.nullity + 1:
+        raise VerificationError(
+            f"index {cert.index} != n - nullity + 1 = {n - cert.nullity + 1}"
+        )
+    prev_power = cert.nilpotent ** (cert.index - 1)
+    if not (prev_power @ cert.nilpotent).is_zero():
+        raise VerificationError(f"N^{cert.index} is not zero")
+    if prev_power.is_zero():
+        raise VerificationError(f"N^{cert.index - 1} already vanishes")
+    if cert.source.rref().rref != cert.rref_common:
+        raise VerificationError("input RREF differs from the recorded common RREF")
+    if cert.nilpotent.rref().rref != cert.rref_common:
+        raise VerificationError("nilpotent RREF differs from the recorded common RREF")
+    if cert.source.apply(cert.script_m_to_n) != cert.nilpotent:
+        raise VerificationError("script does not replay the input to the nilpotent matrix")
+    # rref_common is a checked RREF by now, so its leading entries mark the pivots
+    rows = [row for row in cert.rref_common.rows if any(row)]
+    leads = {next(j for j, e in enumerate(row) if e) for row in rows}
+    free = [j for j in range(n) if j not in leads]
+    vectors = cert.kernel.vectors
+    if len(vectors) != cert.nullity or len(free) != cert.nullity:
+        raise VerificationError(
+            f"{len(vectors)} kernel vectors and {len(free)} free columns "
+            f"for nullity {cert.nullity}"
+        )
+    units = Matrix.identity(cert.source.field, cert.nullity).rows
+    for v, unit in zip(vectors, units):
+        if not (cert.source @ v).is_zero() or not (cert.nilpotent @ v).is_zero():
+            raise VerificationError("kernel basis vector not annihilated by both matrices")
+        if tuple(v.entries[f] for f in free) != unit:
+            raise VerificationError("kernel vector is not the special solution of its column")

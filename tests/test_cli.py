@@ -225,6 +225,44 @@ class TestPlumbing:
         code, _, err = run(capsys, "rref", str(src))
         assert code == 2 and err
 
+    def test_large_prime_header_accepted(self, capsys, tmp_path):
+        src = tmp_path / "big.mat"
+        src.write_text(f"GF {2**61 - 1}\n1 1\n0\n")
+        code, out, _ = run(capsys, "index", str(src))
+        assert code == 0 and out == "1\n"
+
+    def test_modulus_over_limit_exit_2(self, capsys, tmp_path):
+        src = tmp_path / "huge.mat"
+        src.write_text(f"GF {2**89 - 1}\n1 1\n0\n")
+        code, out, err = run(capsys, "index", str(src))
+        assert code == 2 and out == "" and "limit" in err
+
+    def test_superscript_dimension_exit_2(self, capsys, tmp_path):
+        src = tmp_path / "sup.mat"
+        src.write_text("Q\n\u00b2 2\n1 0\n0 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "rref", str(src))
+        assert code == 2 and out == "" and err
+
+    def test_superscript_row_index_exit_2(self, capsys, tmp_path):
+        src = tmp_path / "m.mat"
+        src.write_text("Q\n2 2\n1 0\n0 1\n")
+        script = tmp_path / "sup.script"
+        script.write_text("swap \u00b2 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "apply", str(src), str(script))
+        assert code == 2 and out == "" and err
+
+    def test_invalid_utf8_file_exit_2(self, capsys, tmp_path):
+        src = tmp_path / "bad.mat"
+        src.write_bytes(b"Q\n2 2\n1 \xff\n0 1\n")
+        code, out, err = run(capsys, "rref", str(src))
+        assert code == 2 and out == "" and "UTF-8" in err
+
+    def test_invalid_utf8_stdin_exit_2(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"Q\n2 2\n1 \xff\n0 1\n"))
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "rref", "-")
+        assert code == 2 and out == "" and "UTF-8" in err
+
     def test_byte_identical_runs(self, capsys, t23_file):
         outputs = []
         for _ in range(2):

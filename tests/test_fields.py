@@ -1,9 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from nilwitness import GF, Q, DivisionByZero, FieldMismatch, ParseError
+from nilwitness.fields import MODULUS_LIMIT
 
 from helpers import random_rational, random_scalar
 
@@ -152,8 +154,33 @@ def test_nonprime_modulus_rejected(modulus):
 
 
 def test_small_prime_fields_exist():
-    for p in (2, 3, 5, 7, 101):
+    for p in (2, 3, 5, 7, 101, 1000003):
         assert GF(p).modulus == p
+
+
+def test_mersenne_61_is_fast():
+    start = time.perf_counter()
+    assert GF(2**61 - 1).modulus == 2**61 - 1
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "modulus",
+    [
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+    ],
+)
+def test_strong_pseudoprimes_rejected(modulus):
+    with pytest.raises(ValueError, match="prime"):
+        GF(modulus)
+
+
+@pytest.mark.parametrize("modulus", [MODULUS_LIMIT, 2**89 - 1])
+def test_modulus_limit(modulus):
+    # the limit itself is a composite that passes every base; 2^89 - 1 is prime but too large
+    with pytest.raises(ValueError, match="limit"):
+        GF(modulus)
 
 
 def test_scalar_division():

@@ -4,15 +4,21 @@ from itertools import product
 import pytest
 
 from nilwitness import (
+    GF,
     Q,
+    AddMul,
     DivisionByZero,
     ExtensionBasis,
     InvalidParams,
+    LinalgError,
     Matrix,
     NonSingular,
     NotRowEquivalent,
     NotSquare,
+    RowScript,
+    Swap,
     VerificationError,
+    WitnessCertificate,
     build_shift_nilpotent,
     catalog_3x3,
     extend_to_basis,
@@ -37,16 +43,165 @@ from helpers import (
     qmat,
     random_invertible,
     random_matrix,
+    random_of_rank,
+    random_rowop,
+    random_scalar,
+    random_script,
     random_singular,
     random_strictly_triangular,
+    reference_verify,
 )
 
 T23 = qmat([[1, 0, 2], [0, 1, 3], [0, 0, 0]])
 WITNESS23 = qmat([[0, -2, -6], [1, -3, -7], [0, 1, 3]])
+GF101 = GF(101)
 
 
 def e(i, n=3, field=Q):
     return Matrix.column(field, [field.one() if k == i - 1 else field.zero() for k in range(n)])
+
+
+def with_entry(matrix, i, j, value):
+    """Copy of the matrix with 0-based entry (i, j) replaced."""
+    rows = [list(row) for row in matrix.rows]
+    rows[i][j] = value
+    return Matrix(matrix.field, rows)
+
+
+def nudged(rng, matrix, i=None, j=None):
+    """Copy of the matrix with entry (i, j), random by default, moved by a nonzero amount."""
+    i = rng.randrange(matrix.nrows) if i is None else i
+    j = rng.randrange(matrix.ncols) if j is None else j
+    step = random_scalar(rng, matrix.field, nonzero=True)
+    return with_entry(matrix, i, j, matrix.rows[i][j] + step)
+
+
+def recast(matrix):
+    """The same entries over another field: Q goes to GF(1000003), GF(p) to Q."""
+    if matrix.field == Q:
+        big = GF(1000003)
+        rows = [[big.scalar(x.value.numerator, x.value.denominator) for x in row] for row in matrix]
+        return Matrix(big, rows)
+    return Matrix(Q, [[Q.scalar(x.value) for x in row] for row in matrix])
+
+
+def certificate_mix(rng):
+    """Genuine certificates over Q, GF(2), GF(5), GF(101): n = 1..7, every rank 0..n-1."""
+    return [
+        witness(random_of_rank(rng, field, n, rank))
+        for field in (Q, GF2, GF5, GF101)
+        for n in range(1, 8)
+        for rank in range(n)
+    ]
+
+
+def single_field_tamper(rng, cert):
+    """One field of the certificate changed at random (index and nullity count as a pair)."""
+    field, n = cert.source.field, cert.source.nrows
+    kinds = ("source", "nilpotent", "index", "nullity", "pair", "kernel", "rref", "script")
+    kind = rng.choice(kinds)
+    if kind == "source":
+        return {"source": rng.choice((nudged(rng, cert.source), recast(cert.source)))}
+    if kind == "nilpotent":
+        how = rng.choice(("entry", "recast", "truncate"))
+        if how == "truncate" and n > 1:
+            return {"nilpotent": Matrix(field, [row[:-1] for row in cert.nilpotent])}
+        if how == "recast":
+            return {"nilpotent": recast(cert.nilpotent)}
+        return {"nilpotent": nudged(rng, cert.nilpotent)}
+    if kind == "index":
+        return {"index": cert.index + rng.choice((-1, 1))}
+    if kind == "nullity":
+        return {"nullity": cert.nullity + rng.choice((-1, 1))}
+    if kind == "pair":
+        shift = rng.choice((-1, 1))
+        return {"index": cert.index + shift, "nullity": cert.nullity - shift}
+    if kind == "kernel":
+        vectors = list(cert.kernel.vectors)
+        j = rng.randrange(len(vectors))
+        how = rng.choice(("entry", "drop", "duplicate", "transpose", "recast"))
+        if how == "entry":
+            vectors[j] = nudged(rng, vectors[j])
+        elif how == "drop":
+            del vectors[j]
+        elif how == "duplicate":
+            vectors.append(vectors[j])
+        elif how == "transpose":
+            vectors[j] = Matrix(field, [vectors[j].entries])
+        else:
+            vectors[j] = recast(vectors[j])
+        return {"kernel": dataclasses.replace(cert.kernel, vectors=tuple(vectors))}
+    if kind == "rref":
+        how = rng.choice(("entry", "pivot", "other", "pad", "recast"))
+        pivots = cert.kernel.source_rref.pivot_cols
+        if how == "pivot" and pivots:
+            # a nonzero row's entry in a pivot column: only the RREF shape is off
+            i, j = rng.randrange(len(pivots)), rng.choice(pivots) - 1
+            return {"rref_common": nudged(rng, cert.rref_common, i, j)}
+        if how in ("entry", "pivot"):
+            return {"rref_common": nudged(rng, cert.rref_common)}
+        if how == "other":
+            return {"rref_common": random_of_rank(rng, field, n, rng.randint(0, n)).rref().rref}
+        if how == "pad":
+            return {"rref_common": Matrix(field, cert.rref_common.rows + ((field.zero(),) * n,))}
+        return {"rref_common": recast(cert.rref_common)}
+    ops = list(cert.script_m_to_n)
+    addmuls = [k for k, op in enumerate(ops) if isinstance(op, AddMul)]
+    how = rng.choice(("coefficient", "drop", "append"))
+    if how == "coefficient" and addmuls:
+        k = rng.choice(addmuls)
+        op = ops[k]
+        ops[k] = AddMul(op.i, op.c + random_scalar(rng, field, nonzero=True), op.j)
+    elif how in ("coefficient", "drop") and ops:
+        del ops[rng.randrange(len(ops))]
+    else:
+        ops.append(random_rowop(rng, field, n))
+    return {"script_m_to_n": RowScript(ops)}
+
+
+def coherent_tamper(rng, cert):
+    """Several fields changed together so that the cheap checks still line up."""
+    field, n = cert.source.field, cert.source.nrows
+    kind = rng.choice(("mate", "off-kernel", "understated", "nonsingular"))
+    if kind == "understated":
+        # index one too small, nullity one too large, the kernel padded with a repeat
+        vectors = cert.kernel.vectors
+        return {
+            "index": cert.index - 1,
+            "nullity": cert.nullity + 1,
+            "kernel": dataclasses.replace(cert.kernel, vectors=vectors + vectors[:1]),
+        }
+    if kind == "mate":
+        # a row-equivalent N with a matching script, seldom nilpotent
+        extra = random_script(rng, field, n, length=3)
+        return {
+            "nilpotent": cert.nilpotent.apply(extra),
+            "script_m_to_n": cert.script_m_to_n + extra,
+        }
+    if kind == "off-kernel":
+        # N moved on a free column only, replayed from itself: N K != 0
+        f = rng.choice(cert.kernel.source_rref.free_cols) - 1
+        moved = nudged(rng, cert.nilpotent, j=f)
+        return {"source": moved, "nilpotent": moved, "script_m_to_n": RowScript()}
+    # the identity with a full-rank "certificate": index n + 1, no kernel
+    ident = Matrix.identity(field, n)
+    return {
+        "source": ident,
+        "nilpotent": ident,
+        "rref_common": ident,
+        "kernel": dataclasses.replace(cert.kernel, vectors=()),
+        "index": n + 1,
+        "nullity": 0,
+        "script_m_to_n": RowScript(),
+    }
+
+
+def raises_verification_error(check, cert):
+    try:
+        check(cert)
+    except VerificationError:
+        return True
+    return False
 
 
 class TestBuildShiftNilpotent:
@@ -213,6 +368,105 @@ class TestWitness:
             bad_kernel = dataclasses.replace(cert.kernel, vectors=broken)
             with pytest.raises(VerificationError):
                 dataclasses.replace(cert, kernel=bad_kernel).verify()
+        # every field of the certificate, one at a time
+        (k1,) = vectors
+        at_pivot = with_entry(k1, 0, 0, Q.scalar(2))
+        script = cert.script_m_to_n
+        k = next(k for k, op in enumerate(script) if isinstance(op, AddMul))
+        op = script.ops[k]
+        bumped = script.ops[:k] + (AddMul(op.i, op.c + 1, op.j),) + script.ops[k + 1 :]
+        for changes in (
+            {"source": with_entry(T23, 0, 2, Q.scalar(5))},
+            {"nilpotent": with_entry(WITNESS23, 2, 2, Q.scalar(4))},
+            {"index": 4, "nullity": 0},
+            {"index": 2, "nullity": 2},
+            {"kernel": dataclasses.replace(cert.kernel, vectors=(at_pivot,))},
+            {"rref_common": qmat([[1, 0, 2], [0, 2, 3], [0, 0, 0]])},  # leading 2: not in RREF
+            {"rref_common": qmat([[1, 0, 2], [0, 1, 3], [0, 0, 1]])},  # col 3 a non-unit pivot
+            {"rref_common": qmat([[1, 0, 2], [0, 0, 0], [0, 0, 0]])},  # valid RREF of rank 1
+            {"script_m_to_n": RowScript(bumped)},
+            {"script_m_to_n": RowScript(script.ops[1:])},
+            {"script_m_to_n": script + RowScript([Swap(1, 4)])},  # no row 4 to replay on
+        ):
+            with pytest.raises(VerificationError):
+                dataclasses.replace(cert, **changes).verify()
+
+    def test_other_nilpotent_mate_rejected(self):
+        # row equivalent to T23 and nilpotent of index 3, but not the pivot-shift form
+        mate = rank2_nilpotent(2, 3)
+        cert = dataclasses.replace(
+            witness(T23), nilpotent=mate, script_m_to_n=witness_script(T23, mate)
+        )
+        reference_verify(cert)  # the reduce-and-power check accepts any mate
+        with pytest.raises(VerificationError):
+            cert.verify()
+
+    @pytest.mark.parametrize(
+        "vector",
+        [column(Q, [1, 0]), column(GF5, [-2, -3, 1]), Matrix(Q, [[-2, -3, 1]])],
+        ids=["2x1", "gf5-copy", "row"],
+    )
+    def test_kernel_vector_of_wrong_shape_or_field(self, vector):
+        cert = witness(T23)
+        bad_kernel = dataclasses.replace(cert.kernel, vectors=(vector,))
+        with pytest.raises(VerificationError):
+            dataclasses.replace(cert, kernel=bad_kernel).verify()
+
+    @pytest.mark.parametrize("name", ["nilpotent", "rref_common"])
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda m: Matrix(m.field, [row[:2] for row in m.rows]),
+            lambda m: Matrix(m.field, m.rows[:2]),
+            recast,
+        ],
+        ids=["3x2", "2x3", "gf-copy"],
+    )
+    def test_matrix_of_wrong_shape_or_field(self, name, reshape):
+        cert = witness(T23)
+        with pytest.raises(VerificationError):
+            dataclasses.replace(cert, **{name: reshape(getattr(cert, name))}).verify()
+
+    def test_verify_agrees_with_reference(self, rng):
+        for cert in certificate_mix(rng):
+            cert.verify()
+            reference_verify(cert)
+            for _ in range(3):
+                tampered = dataclasses.replace(cert, **single_field_tamper(rng, cert))
+                try:
+                    reference_verify(tampered)
+                    reference_raised = False
+                except LinalgError:  # the reference also raises shape and field errors
+                    reference_raised = True
+                rejected = raises_verification_error(WitnessCertificate.verify, tampered)
+                assert rejected == reference_raised
+            # coherent tampers: the reference's rejections are a floor, never a ceiling
+            tampered = dataclasses.replace(cert, **coherent_tamper(rng, cert))
+            if raises_verification_error(reference_verify, tampered):
+                assert raises_verification_error(WitnessCertificate.verify, tampered)
+
+    def test_verify_never_reduces(self, rng, monkeypatch):
+        genuine = certificate_mix(rng)
+        certs = genuine + [
+            dataclasses.replace(c, **tamper(rng, c))
+            for c in genuine
+            for tamper in (single_field_tamper, coherent_tamper)
+        ]
+        calls = []
+        for name in ("rref", "__pow__", "inverse"):
+            plain = getattr(Matrix, name)
+
+            def counting(self, *args, _name=name, _plain=plain):
+                calls.append(_name)
+                return _plain(self, *args)
+
+            monkeypatch.setattr(Matrix, name, counting)
+        for cert in certs:
+            try:
+                cert.verify()
+            except VerificationError:
+                pass
+        assert calls == []
 
     def test_report_sections_in_order(self):
         report = witness(T23).to_report()
